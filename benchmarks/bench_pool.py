@@ -13,10 +13,11 @@ Claims pinned here:
    (which re-forks and re-pickles every launch) and ``threaded`` (which
    serialises the GIL-churning sequential kernels). Skipped on
    single-core machines, where no forked backend can win wall clock.
-3. The vectorised fast kernels are a real wall-clock win where it
-   matters most: single-cut ``partition_multiway`` — the contraction
-   loop's hottest kernel — runs >= 3x faster than the reference
-   implementation on large arrays (runs on any host; pure local CPU).
+3. The lazy split is a real wall-clock win where it matters most: a
+   single-cut multiway split — the contraction loop's hottest kernel —
+   materialising all three segments runs >= 3x faster than the eager
+   reference ``partition_multiway`` on large arrays (runs on any host;
+   pure local CPU).
 
 Full grid: ``python -m repro.bench pool --scale paper``.
 """
@@ -28,8 +29,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import KILO, run_pool_point
-from repro.kernels.fast import fast_partition_multiway
-from repro.kernels.partition import partition_multiway
+from repro.kernels.partition import partition_multiway, split_multiway
 
 N_IDENTITY = 128 * KILO
 N_SPEEDUP = 2048 * KILO  # the acceptance bar: n >= 2M
@@ -90,9 +90,12 @@ def test_pool_beats_per_launch_backends_large_n(benchmark):
 
 
 def test_fast_single_cut_partition_speedup(benchmark):
-    """The contraction loop's hottest kernel: one-cut partition_multiway.
-    The reference walks the comparison tree per segment; the fast path is
-    two vectorised masked gathers. Order-preserving, so bit-identical."""
+    """The contraction loop's hottest kernel: a one-cut multiway split.
+    The eager reference classifies with two ``searchsorted`` passes and
+    groups with an int64 stable argsort; the lazy split labels with two
+    masks and gathers each segment with one more. Even materialising all
+    three segments (the contraction keeps one), it is order-preserving,
+    so bit-identical."""
     rng = np.random.default_rng(0)
     arr = rng.random(4 * N_SPEEDUP // 2)  # 4M doubles
     cuts = [float(np.median(arr))]
@@ -105,8 +108,11 @@ def test_fast_single_cut_partition_speedup(benchmark):
             walls.append(time.perf_counter() - t0)
         return min(walls)
 
+    def all_segments(values, cut_values):
+        return split_multiway(values, cut_values).parts(range(3))
+
     def measure():
-        return best_of(partition_multiway), best_of(fast_partition_multiway)
+        return best_of(partition_multiway), best_of(all_segments)
 
     ref_wall, fast_wall = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = ref_wall / fast_wall
@@ -114,11 +120,11 @@ def test_fast_single_cut_partition_speedup(benchmark):
     benchmark.extra_info["fast_wall_s"] = fast_wall
     benchmark.extra_info["speedup"] = speedup
     ref_parts = partition_multiway(arr, cuts)
-    fast_parts = fast_partition_multiway(arr, cuts)
+    fast_parts = all_segments(arr, cuts)
     for r, f in zip(ref_parts, fast_parts):
         np.testing.assert_array_equal(r, f)
     assert speedup >= 3.0, (
-        f"fast single-cut partition must be >= 3x reference, got "
+        f"lazy single-cut split must be >= 3x reference, got "
         f"{speedup:.2f}x (ref={ref_wall * 1e3:.1f} ms, "
         f"fast={fast_wall * 1e3:.1f} ms)"
     )

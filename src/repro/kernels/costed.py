@@ -23,10 +23,11 @@ __all__ = ["CostedKernels"]
 class CostedKernels:
     """Sequential kernels bound to one rank's clock and cost model.
 
-    ``kernels`` picks the executing implementations — ``"reference"`` or
-    ``"fast"`` (``None`` defers to ``$REPRO_KERNELS``, default reference).
-    Charges are computed from the reference cost formulas *before* the
-    executing kernel is chosen, so the two modes produce bit-identical
+    ``kernels`` picks the executing bucket-build and sequential-select
+    implementations — ``"reference"`` or ``"fast"`` (``None`` defers to
+    ``$REPRO_KERNELS``, default reference); the lazy splits run in both
+    modes. Charges are computed from the reference cost formulas *before*
+    the executing kernel is chosen, so the two modes produce bit-identical
     values and simulated times (pinned by ``tests/test_kernel_modes.py``);
     only host wall clock differs.
     """
@@ -39,11 +40,9 @@ class CostedKernels:
 
     # ------------------------------------------------------------ partition
 
-    def partition3(self, arr: np.ndarray, pivot) -> _partition.Partition3:
+    def split_band(self, arr: np.ndarray, lo, hi) -> _partition.Split:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
-        if self._fast:
-            return _fast.fast_partition3(arr, pivot)
-        return _partition.partition3(arr, pivot)
+        return _partition.split_band(arr, lo, hi)
 
     def partition2(self, arr: np.ndarray, pivot) -> _partition.Partition2:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
@@ -53,17 +52,11 @@ class CostedKernels:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
         return _partition.count3(arr, pivot)
 
-    def partition_band(self, arr: np.ndarray, lo, hi):
-        self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
-        return _partition.partition_band(arr, lo, hi)
-
-    def partition_multiway(self, arr: np.ndarray, cuts) -> list[np.ndarray]:
+    def split_multiway(self, arr: np.ndarray, cuts) -> _partition.Split:
         self.ctx.charge_compute(
             _partition.partition_multiway_cost(self.model, arr.size, len(cuts))
         )
-        if self._fast:
-            return _fast.fast_partition_multiway(arr, cuts)
-        return _partition.partition_multiway(arr, cuts)
+        return _partition.split_multiway(arr, cuts)
 
     # ------------------------------------------------------------ selection
 

@@ -3,8 +3,7 @@
 The reference kernels in this package are written for auditability: their
 shapes mirror the paper's pseudocode and the cost formulas charged against
 them. :mod:`repro.kernels.fast` provides drop-in replacements tuned for
-wall clock (lazier gathers, multi-kth ``np.partition``, mask-based
-multiway splits), bound by one contract:
+wall clock, bound by one contract:
 
 * **Identical values.** Every fast kernel returns bit-identical results
   (and, where order can leak into downstream pivot draws, identically
@@ -13,10 +12,15 @@ multiway splits), bound by one contract:
   cost formulas — the fast path changes how fast the host computes, never
   what the simulated machine is charged.
 
+Both modes partition through the lazy
+:class:`~repro.kernels.partition.Split`: classify -> Combine counts ->
+gather kept segments. ``fast`` still changes the bucket build (one
+multi-kth ``np.partition``) and the introselect endgame.
+
 Selection: ``SelectionPlan(kernels="fast")`` per plan, or the
 ``REPRO_KERNELS`` environment variable as the process-wide default (how
-CI runs the whole value suite under each mode). ``numba`` is used for a
-few kernels when importable — a soft dependency, never required.
+CI runs the whole value suite under each mode). ``numba`` is probed as a
+soft dependency, never required.
 """
 
 from __future__ import annotations

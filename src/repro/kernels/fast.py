@@ -1,37 +1,27 @@
 """Wall-clock-tuned twins of the hot reference kernels.
 
-Each function here is value-identical to its reference twin in
-:mod:`repro.kernels.partition` / :mod:`repro.kernels.buckets` — including
-element *order* wherever order can reach a positional pivot draw — and is
-only ever selected by :class:`~repro.kernels.costed.CostedKernels` in
-``fast`` mode (see :mod:`repro.kernels.dispatch` for the contract).
-Simulated charges are untouched: they are computed from the reference
-cost formulas before the executing kernel is chosen.
+The kernel here is value-identical to its reference twin in
+:mod:`repro.kernels.buckets` and is only ever selected by
+:class:`~repro.kernels.costed.CostedKernels` in ``fast`` mode (see
+:mod:`repro.kernels.dispatch` for the contract). Simulated
+charges are untouched: they are computed from the reference cost formulas
+before the executing kernel is chosen.
 
-Where the speed comes from:
+Partitioning has no twin: both modes run the lazy
+:class:`~repro.kernels.partition.Split` (classify -> Combine counts ->
+gather kept segments). What ``fast`` mode still changes:
 
-* :class:`LazyPartition3` — the contraction engine classifies with the
-  (lt, eq) *counts* and only reads the ``lt``/``gt`` gathers for the side
-  it keeps; the reference kernel eagerly materialises all three. Deferring
-  the gathers skips at least the ``eq`` copy every iteration and both
-  untaken sides when the target lands in the equality band.
-* :func:`fast_partition_multiway` — the reference groups segments with a
-  stable argsort (``O(n log n)`` with a big constant). For the dominant
-  single-cut case two boolean masks and three gathers do the same job
-  ~4x faster; small cut counts use one ``searchsorted`` classification
-  plus per-segment mask gathers. Both preserve the original element order
-  within every segment, exactly like a stable argsort.
 * :func:`fast_build_buckets` — the reference recursively halves with
   ``log2(B)`` full ``np.partition`` levels. One multi-kth
   ``np.partition`` at the recursion's final boundaries produces the same
   bucket *multisets* in a single pass. Intra-bucket order differs, which
   is immaterial: every downstream bucket operation (kth via
   ``np.partition``, straddler counts, min/max fences) is value-based.
-* select kernels — in fast mode the *executing* sequential selection is
-  ``introselect`` (``np.partition``) whatever method is charged,
-  generalising the long-standing ``impl_override`` contract: the k-th
-  smallest is a unique value, so every implementation agrees, and no rng
-  handed to a select kernel ever feeds a later positional draw.
+* the introselect endgame — in fast mode the *executing* sequential
+  selection is ``introselect`` (``np.partition``) whatever method is
+  charged, generalising the long-standing ``impl_override`` contract: the
+  k-th smallest is a unique value, so every implementation agrees, and no
+  rng handed to a select kernel ever feeds a later positional draw.
 
 ``numba`` accelerates nothing critical here (NumPy already executes these
 as C loops), so it is probed but optional — a soft dependency that must
@@ -44,7 +34,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machine.topology import next_power_of_two
-from . import partition as _partition
 from .buckets import LocalBuckets
 
 try:  # soft dependency: used opportunistically, never required
@@ -54,89 +43,7 @@ try:  # soft dependency: used opportunistically, never required
 except Exception:  # pragma: no cover - depends on host environment
     HAVE_NUMBA = False
 
-__all__ = [
-    "HAVE_NUMBA",
-    "LazyPartition3",
-    "fast_build_buckets",
-    "fast_partition3",
-    "fast_partition_multiway",
-]
-
-#: Above this many cuts the mask-gather multiway loop loses to the
-#: reference argsort grouping; fall back.
-_MULTIWAY_FAST_MAX_CUTS = 8
-
-
-class LazyPartition3:
-    """Drop-in for :class:`~repro.kernels.partition.Partition3` that
-    defers the side gathers until (and unless) they are read."""
-
-    __slots__ = (
-        "_arr", "_lt_mask", "_gt_mask", "_lt", "_eq", "_gt",
-        "n_lt", "n_eq", "n_gt",
-    )
-
-    def __init__(self, arr: np.ndarray, pivot):
-        self._arr = arr
-        self._lt_mask = arr < pivot
-        self._gt_mask = arr > pivot
-        self.n_lt = int(np.count_nonzero(self._lt_mask))
-        self.n_gt = int(np.count_nonzero(self._gt_mask))
-        self.n_eq = int(arr.size) - self.n_lt - self.n_gt
-        self._lt = self._eq = self._gt = None
-
-    @property
-    def lt(self) -> np.ndarray:
-        if self._lt is None:
-            self._lt = self._arr[self._lt_mask]
-        return self._lt
-
-    @property
-    def gt(self) -> np.ndarray:
-        if self._gt is None:
-            self._gt = self._arr[self._gt_mask]
-        return self._gt
-
-    @property
-    def eq(self) -> np.ndarray:
-        if self._eq is None:
-            self._eq = self._arr[~(self._lt_mask | self._gt_mask)]
-        return self._eq
-
-
-def fast_partition3(arr: np.ndarray, pivot) -> LazyPartition3:
-    """3-way split with deferred gathers (mask order == reference order)."""
-    return LazyPartition3(arr, pivot)
-
-
-def fast_partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
-    """Mask-based multiway split; falls back to the reference past
-    :data:`_MULTIWAY_FAST_MAX_CUTS` cut values.
-
-    Boolean-mask gathers preserve original element order within each
-    segment, exactly like the reference's stable argsort grouping, so the
-    two produce identical arrays — order included.
-    """
-    cuts = np.asarray(cuts)
-    if cuts.ndim != 1 or cuts.size == 0:
-        raise ConfigurationError(
-            "partition_multiway needs a 1-D, non-empty cut list"
-        )
-    if cuts.size == 1:
-        pivot = cuts[0]
-        lt_mask = arr < pivot
-        gt_mask = arr > pivot
-        return [arr[lt_mask], arr[~(lt_mask | gt_mask)], arr[gt_mask]]
-    if cuts.size > _MULTIWAY_FAST_MAX_CUTS:
-        return _partition.partition_multiway(arr, cuts)
-    if np.any(np.diff(cuts) <= 0):
-        raise ConfigurationError(
-            "cut values must be strictly ascending (dedupe first)"
-        )
-    seg = np.searchsorted(cuts, arr, side="left") + np.searchsorted(
-        cuts, arr, side="right"
-    )
-    return [arr[seg == j] for j in range(2 * cuts.size + 1)]
+__all__ = ["HAVE_NUMBA", "fast_build_buckets"]
 
 
 def _halved_sizes(n: int, b: int) -> list[int]:

@@ -92,7 +92,7 @@ class UnchargedNumpyPass(Rule):
         "(simulated time silently under-counts)"
     )
     hint = (
-        "route the pass through CostedKernels (K.sort/K.partition3/...) "
+        "route the pass through CostedKernels (K.sort/K.split_band/...) "
         "or pair it with ctx.charge_compute(<cost formula>); if the "
         "caller charges on this module's behalf, declare "
         "`# repro: costed-by-caller`"

@@ -113,26 +113,25 @@ class ArrayLive:
 
     def __init__(self, arr: np.ndarray):
         self.arr = np.asarray(arr)
-        self._parts = None
+        self._split = None
 
     @property
     def count(self) -> int:
         return int(self.arr.size)
 
     def classify(self, K: CostedKernels, pivot) -> tuple[int, int]:
-        """3-way partition around ``pivot``; returns local (lt, eq) counts.
-
-        The materialised split is kept so :meth:`take` / :meth:`split` are
-        free (the partition pass was already charged).
-        """
-        self._parts = K.partition3(self.arr, pivot)
-        return self._parts.n_lt, self._parts.n_eq
+        """3-way split around ``pivot``; returns local (lt, eq) counts.
+        :meth:`take` / :meth:`split` then gather only the kept side(s)."""
+        self._split = K.split_band(self.arr, pivot, pivot)
+        lt, eq, _gt = self._split.counts
+        return int(lt), int(eq)
 
     def take(self, K: CostedKernels, pivot, keep_low: bool) -> "ArrayLive":
-        return ArrayLive(self._parts.lt if keep_low else self._parts.gt)
+        return ArrayLive(self._split.segment(0 if keep_low else 2))
 
     def split(self, K: CostedKernels, pivot) -> tuple["ArrayLive", "ArrayLive"]:
-        return ArrayLive(self._parts.lt), ArrayLive(self._parts.gt)
+        low, high = self._split.parts([0, 2])
+        return ArrayLive(low), ArrayLive(high)
 
     def rebalance(self, ctx, K: CostedKernels, balancer: Balancer) -> "ArrayLive":
         return ArrayLive(balancer.rebalance(ctx, K, self.arr))
@@ -452,10 +451,8 @@ class ContractionEngine:
     def _apply_band(self, iv: _Interval, lo, hi, queue: list) -> None:
         n_before, ni = iv.n, iv.live.count
         k_first = iv.targets[0].k
-        less, middle, high = self.K.partition_band(iv.live.arr, lo, hi)
-        c_less, c_mid = self.ctx.comm.combine(
-            np.array([less.size, middle.size], dtype=np.int64)
-        )
+        split = self.K.split_band(iv.live.arr, lo, hi)
+        c_less, c_mid = self.ctx.comm.combine(split.counts[:2])
         c_less, c_mid = int(c_less), int(c_mid)
 
         less_t: list[_Target] = []
@@ -478,18 +475,12 @@ class ContractionEngine:
         # surviving target (the paper's Step 8; a miss triggers the
         # one-sided rescue instead of a retry).
         successful = not less_t and not high_t
-        children = []
-        if less_t:
-            children.append(_Interval(ArrayLive(less), c_less, less_t))
-        if mid_t:
-            children.append(
-                _Interval(ArrayLive(middle), c_mid, mid_t)
-            )
-        if high_t:
-            children.append(_Interval(
-                ArrayLive(high), n_before - c_less - c_mid, high_t
-            ))
-
+        # Gather only the segments that kept a target (original order).
+        segs = {0: (c_less, less_t), 1: (c_mid, mid_t),
+                2: (n_before - c_less - c_mid, high_t)}
+        ids = [j for j, (_n, ts) in segs.items() if ts]
+        children = [_Interval(ArrayLive(a), *segs[j])
+                    for j, a in zip(ids, split.parts(ids))]
         if not children:
             self.stats.record(IterationRecord(
                 n_before=n_before, n_after=0, k_before=k_first,
@@ -520,19 +511,17 @@ class ContractionEngine:
     def _apply_multicut(self, iv: _Interval, cuts, queue: list) -> None:
         """Fork one interval at several cut values in a single local pass.
 
-        ``partition_multiway`` yields ``2c + 1`` value-ordered segments
-        (open ranges alternating with ``==`` bands); one Combine of the
-        segment counts places every target. Targets landing in an ``==``
-        band resolve immediately; segments holding no targets are
-        discarded wholesale — they lie *between* requested ranks.
+        The multiway split labels ``2c + 1`` value-ordered segments (open
+        ranges alternating with ``==`` bands); one Combine of the segment
+        counts places every target. Targets landing in an ``==`` band
+        resolve immediately; segments holding no targets are never
+        gathered — they lie *between* requested ranks.
         """
         n_before, ni = iv.n, iv.live.count
         k_first = iv.targets[0].k
         cuts = np.asarray(cuts)
-        segs = self.K.partition_multiway(iv.live.arr, cuts)
-        counts = self.ctx.comm.combine(
-            np.array([s.size for s in segs], dtype=np.int64)
-        )
+        split = self.K.split_multiway(iv.live.arr, cuts)
+        counts = self.ctx.comm.combine(split.counts)
         cum = np.concatenate([[0], np.cumsum(counts)])
 
         by_seg: dict[int, list[_Target]] = {}
@@ -547,9 +536,10 @@ class ContractionEngine:
                     _Target(t.idx, t.k - int(cum[j]))
                 )
 
+        ids = sorted(by_seg)
         children = [
-            _Interval(ArrayLive(segs[j]), int(counts[j]), ts)
-            for j, ts in sorted(by_seg.items())
+            _Interval(ArrayLive(a), int(counts[j]), by_seg[j])
+            for j, a in zip(ids, split.parts(ids))
         ]
         if not children:
             self.stats.record(IterationRecord(

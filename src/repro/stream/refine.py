@@ -116,24 +116,25 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
     per-interval ``(< lo, in-band)`` counts. The exact counts re-base
     every target onto the survivor multiset *and* verify the sketch
     bounds; the fallback decision is a pure function of the global
-    counts, hence identical on every rank.
+    counts, hence identical on every rank. Survivors are gathered after.
     """
     local_counts: list[int] = []
-    survivor_parts: list[np.ndarray] = []
+    # (split, segment ids) pairs holding the survivors, in key order.
+    keep: list[tuple] = []
     if len(intervals) <= 2:
         for lo, hi, _targets in intervals:
-            less, mid, _high = K.partition_band(shard, lo, hi)
-            local_counts.extend((less.size, mid.size))
-            survivor_parts.append(mid)
+            split = K.split_band(shard, lo, hi)
+            local_counts.extend(int(c) for c in split.counts[:2])
+            keep.append((split, [1]))
     else:
         bounds = [b for lo, hi, _t in intervals for b in (lo, hi)]
         cuts = np.unique(np.asarray(bounds))
-        # partition_multiway yields 2c+1 value-ordered segments
+        # The multiway split labels 2c+1 value-ordered segments
         # alternating open ranges with equality bands: segment 2i+1 is
         # ``== cuts[i]``.
-        segs = K.partition_multiway(shard, cuts)
-        sizes = [s.size for s in segs]
-        cum = np.concatenate([[0], np.cumsum(sizes)])
+        split = K.split_multiway(shard, cuts)
+        cum = np.concatenate([[0], np.cumsum(split.counts)])
+        ids: list[int] = []
         for lo, hi, _targets in intervals:
             li = int(np.searchsorted(cuts, lo))
             hi_i = int(np.searchsorted(cuts, hi))
@@ -141,10 +142,8 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
             local_counts.extend(
                 (int(cum[first]), int(cum[last + 1] - cum[first]))
             )
-            mids = [s for s in segs[first: last + 1] if s.size]
-            survivor_parts.append(
-                np.concatenate(mids) if mids else shard[:0]
-            )
+            ids.extend(range(first, last + 1))
+        keep.append((split, ids))
     totals = ctx.comm.combine(np.asarray(local_counts, dtype=np.int64))
     adjusted: list[int] = []
     offset = 0
@@ -159,7 +158,7 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
             adjusted.append(offset + rebased)
         offset += c_mid
         n_surv += c_mid
-    live = [s for s in survivor_parts if s.size]
+    live = [s for split, ids in keep for s in split.parts(ids) if s.size]
     survivors = np.concatenate(live) if live else shard[:0]
     return survivors, adjusted, n_surv
 

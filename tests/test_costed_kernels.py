@@ -22,8 +22,12 @@ def run_with_kernels(fn):
 
 class TestPartitionCharges:
     def test_partition3_charges_per_element(self):
+        # The pivot split: a band collapsed onto one value.
         arr = np.arange(1000.0)
-        (_, cost) = run_with_kernels(lambda K, ctx: K.partition3(arr, 500.0))
+        (split, cost) = run_with_kernels(
+            lambda K, ctx: K.split_band(arr, 500.0, 500.0)
+        )
+        assert split.counts.tolist() == [500, 1, 499]
         assert cost == pytest.approx(1000 * CM5.compute.partition)
 
     def test_partition2(self):
@@ -40,10 +44,25 @@ class TestPartitionCharges:
 
     def test_partition_band(self):
         arr = np.arange(10.0)
-        ((lo, mid, hi), cost) = run_with_kernels(
-            lambda K, ctx: K.partition_band(arr, 3.0, 6.0)
+        (split, cost) = run_with_kernels(
+            lambda K, ctx: K.split_band(arr, 3.0, 6.0)
         )
-        assert mid.tolist() == [3, 4, 5, 6]
+        assert split.counts.tolist() == [3, 4, 3]
+        assert split.segment(1).tolist() == [3, 4, 5, 6]
+        assert cost == pytest.approx(10 * CM5.compute.partition)
+
+    @pytest.mark.parametrize(
+        "n_cuts, depth", [(1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4)]
+    )
+    def test_partition_multiway_charges_probe_depth(self, n_cuts, depth):
+        # Each key binary-searches the cuts: ceil(log2(c + 1)) probes.
+        arr = np.arange(1000.0)
+        cuts = np.linspace(100.0, 900.0, n_cuts)
+        (split, cost) = run_with_kernels(
+            lambda K, ctx: K.split_multiway(arr, cuts)
+        )
+        assert int(split.counts.sum()) == 1000
+        assert cost == pytest.approx(1000 * depth * CM5.compute.partition)
 
 
 class TestSelectCharges:

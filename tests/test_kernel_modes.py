@@ -5,7 +5,10 @@ optimisations only — values, RNG/pivot streams AND simulated charges must
 be bit-identical to the reference kernels, for every algorithm, on
 adversarial data included. Charges are enforced structurally (they are
 computed before the executing kernel is chosen), so these tests pin the
-value/order side of the contract plus the end-to-end evidence."""
+value/order side of the contract plus the end-to-end evidence. Both modes
+split through the lazy ``Split``; its kernel properties are pinned here
+against the eager reference splits (``tests/test_split.py`` has the
+full identity suite)."""
 
 import numpy as np
 import pytest
@@ -17,12 +20,13 @@ from repro.errors import ConfigurationError
 from repro.kernels import KERNELS_ENV_VAR
 from repro.kernels.buckets import LocalBuckets
 from repro.kernels.dispatch import default_kernels_mode, resolve_kernels
-from repro.kernels.fast import (
-    fast_build_buckets,
-    fast_partition3,
-    fast_partition_multiway,
+from repro.kernels.fast import fast_build_buckets
+from repro.kernels.partition import (
+    partition3,
+    partition_multiway,
+    split_band,
+    split_multiway,
 )
-from repro.kernels.partition import partition3, partition_multiway
 from repro.selection import ALGORITHMS
 
 P = 4
@@ -145,12 +149,10 @@ class TestKernelProperties:
         pool = np.concatenate([arr, [0.0, 1.0]])
         pivot = data.draw(st.sampled_from(list(pool)))
         ref = partition3(arr, pivot)
-        fast = fast_partition3(arr, pivot)
-        assert (ref.n_lt, ref.n_eq, ref.n_gt) == (
-            fast.n_lt, fast.n_eq, fast.n_gt
-        )
+        lazy = split_band(arr, pivot, pivot)
+        assert [ref.n_lt, ref.n_eq, ref.n_gt] == lazy.counts.tolist()
         _assert_identical_arrays(
-            [ref.lt, ref.eq, ref.gt], [fast.lt, fast.eq, fast.gt]
+            [ref.lt, ref.eq, ref.gt], [lazy.segment(j) for j in range(3)]
         )
 
     @given(arr=adversarial_arrays, data=st.data())
@@ -162,9 +164,10 @@ class TestKernelProperties:
                 st.permutations(list(pool)).map(lambda x: x[:n_cuts])
             )
         )
+        lazy = split_multiway(arr, cuts)
         _assert_identical_arrays(
             partition_multiway(arr, cuts),
-            fast_partition_multiway(arr, cuts),
+            [lazy.segment(j) for j in range(lazy.counts.size)],
         )
 
     @given(arr=adversarial_arrays, n_buckets=st.integers(1, 16))
@@ -192,4 +195,4 @@ class TestKernelProperties:
             with pytest.raises(ConfigurationError):
                 partition_multiway(arr, bad_cuts)
             with pytest.raises(ConfigurationError):
-                fast_partition_multiway(arr, bad_cuts)
+                split_multiway(arr, bad_cuts)

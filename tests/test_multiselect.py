@@ -281,6 +281,22 @@ class TestPartitionMultiway:
         with pytest.raises(ConfigurationError):
             partition_multiway(np.arange(10), [])
 
+    @pytest.mark.parametrize("backend", ["serial", "threaded"])
+    def test_int64_extremes_multi_select(self, backend):
+        # Keys clustered near both int64 ends: fast_randomized's multiway
+        # cuts lie more than 2**63 apart, where np.diff(cuts) wraps around.
+        i64 = np.iinfo(np.int64)
+        rng = np.random.default_rng(13)
+        data = np.concatenate([
+            i64.min + rng.integers(0, 1000, size=20_000),
+            i64.max - rng.integers(0, 1000, size=20_000),
+        ])
+        rng.shuffle(data)
+        ks = [1000, 15000, 20000, 20001, 25000, 39000]
+        d = repro.Machine(4, backend=backend).distribute(data)
+        ref = np.sort(data)
+        assert d.multi_select(ks).values == [ref[k - 1] for k in ks]
+
     def test_cost_grows_with_cut_count(self):
         from repro.kernels.partition import partition_multiway_cost
         from repro.machine.cost_model import CM5
