@@ -39,7 +39,10 @@ def main():
         machine = repro.Machine(p, trace=True)
         data = machine.generate(n, seed=11)
         report = data.multi_select([1, n // 2, n])
-        median = data.select(n // 2)
+        # A one-shot launch of its own: data.select(n // 2) would be served
+        # from the multi_select's cache entry, and a three-rank launch has
+        # no closed-form cost prediction to show.
+        median = repro.select(data, n // 2)
 
     assert report.values == baseline.values, "capture must not perturb"
     assert report.simulated_time == baseline.simulated_time

@@ -5,9 +5,10 @@ These are thin shims over the Plan/Session layer, kept for the historical
 call shape (``repro.select(data, k, algorithm=..., seed=...)``). Each call
 builds a validated :class:`~repro.core.plan.SelectionPlan` from its kwargs
 and runs it through an uncached one-shot
-:class:`~repro.core.session.Session`, so values, RNG streams and simulated
-times are bit-identical to the pre-Session API — one SPMD launch per call,
-no memoisation.
+:class:`~repro.core.session.Session` — one SPMD launch per call, no
+memoisation. ``select`` values, RNG streams and simulated times are
+bit-identical to the pre-Session API, and ``multi_select([k])`` equals
+``select(k)``.
 
 New code should prefer the composable surface::
 

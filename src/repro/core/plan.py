@@ -11,11 +11,11 @@ and carry a stable :meth:`cache_key`, which is what lets a
 :class:`~repro.core.session.Session` coalesce queries and cache results
 per ``(array fingerprint, plan, rank)``.
 
-``plan.resolve()`` reproduces the historical ``_resolve_config`` pairing
-bit-for-bit: ``balancer="default"`` maps to the paper's pairing (global
-exchange for median of medians, nothing otherwise), and a fresh balancer
-instance is built per resolution so stateful balancers never leak between
-launches.
+``plan.resolve()`` builds the launch's :class:`SelectionConfig` with the
+paper's pairings: ``balancer="default"`` maps to global exchange for
+median of medians and to nothing otherwise, the Section 5 hybrids always
+run randomized sequential parts, and a fresh balancer instance is built per
+resolution so stateful balancers never leak between launches.
 """
 
 from __future__ import annotations
@@ -249,8 +249,8 @@ class SelectionPlan:
 
     # ------------------------------------------------------------ resolution
 
-    def resolve(self) -> tuple[object, SelectionConfig, str]:
-        """Build ``(spmd_fn, SelectionConfig, balancer_name)`` for a launch.
+    def resolve(self) -> tuple[SelectionConfig, str]:
+        """Build ``(SelectionConfig, balancer_name)`` for a launch.
 
         A fresh balancer instance is created per call, exactly as the
         historical per-call resolution did.
@@ -261,25 +261,28 @@ class SelectionPlan:
                 "launch (repro.planner.resolve_auto); launch paths do this "
                 "automatically"
             )
-        fn, default_seq, needs_balance = ALGORITHMS[self.algorithm]
+        spec = ALGORITHMS[self.algorithm]
         if self.balancer == "default":
             # Paper defaults: MoM requires balancing (its figures use global
             # exchange); everything else runs without.
             balancer_obj: Balancer = get_balancer(
-                "global_exchange" if needs_balance else None
+                "global_exchange" if spec.needs_balancing else None
             )
         else:
             balancer_obj = get_balancer(self.balancer)
+        sequential = spec.sequential_method
+        if not spec.hybrid:
+            sequential = self.sequential_method or sequential
         cfg = SelectionConfig(
             balancer=balancer_obj,
-            sequential_method=self.sequential_method or default_seq,
+            sequential_method=sequential,
             seed=self.seed,
             endgame_threshold=self.endgame_threshold,
             max_iterations=self.max_iterations,
             impl_override=self.impl_override,
             kernels=self.kernels,
         )
-        return fn, cfg, type(balancer_obj).__name__
+        return cfg, type(balancer_obj).__name__
 
     # --------------------------------------------------------------- keying
 

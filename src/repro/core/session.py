@@ -1,9 +1,11 @@
 """The serving layer: :class:`Session` — query coalescing + result caching.
 
-The paper's algorithms answer one query per SPMD launch; PR 1's contraction
-engine already answers a whole *set* of ranks in one launch. A Session is
-the API that lets callers exploit that without hand-assembling rank
-batches:
+The paper's algorithms select one rank; the contraction engine answers
+a whole *set* of ranks in one launch, and one rank is just the smallest
+set. So every query, single-target or not, takes ONE path: a launch of
+:func:`execute_multi_select` over the ranks that are not cached yet, with
+single-target answers read off it as per-rank views. A Session is the API
+that lets callers exploit that without hand-assembling rank batches:
 
 * **Deferred queries.** ``session.select(data, k)``, ``.median(data)`` and
   ``.quantiles(data, qs)`` return lightweight futures immediately; nothing
@@ -19,15 +21,13 @@ batches:
   exactly what a relaunch would produce). Reports served from cache set
   ``cached=True``.
 * **Immediate paths.** :meth:`run_select` / :meth:`run_multi_select` /
-  :meth:`run_quantiles` answer now (still cache-aware). ``run_select``
-  drives the historical single-rank engine, which is how the legacy
-  top-level functions stay bit-identical to their pre-Session behaviour;
-  the deferred/coalesced path always uses the batched engine.
+  :meth:`run_quantiles` answer now through the same group server a flush
+  uses (still cache-aware). A lone rank, deferred or immediate, gives the
+  same value and simulated time as the legacy :func:`repro.select`.
 
 Module-level :func:`execute_select` / :func:`execute_multi_select` are the
-uncached launch primitives (faithful ports of the historical ``select`` /
-``multi_select`` bodies — same collective sequences, RNG streams and
-simulated times).
+uncached launch primitives; ``execute_select`` is the one-rank view of
+``execute_multi_select``.
 """
 
 from __future__ import annotations
@@ -39,18 +39,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, RankMismatchError
 from ..kernels.select import median_rank
 from ..machine.clock import TimeBreakdown
 from ..obs import get_recorder
 from ..obs.metrics import REGISTRY
-from ..selection import (
-    STRATEGIES,
-    MultiSelectionStats,
-    SelectionStats,
-    contract_multi_select,
-    sort_based_multi_select,
-)
+from ..selection import MultiSelectionStats, SelectionRunner, SelectionStats
 from .plan import SelectionPlan, as_plan, validate_rank, validate_targets
 from .reports import MultiSelectionReport, SelectionReport
 
@@ -68,86 +62,42 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Launch primitives (uncached; bit-identical to the historical entry points)
+# Launch primitives (uncached)
 # --------------------------------------------------------------------------
 
 
-# Shared launch plumbing: the plain paths below and the sketch-prefiltered
-# paths of repro.stream.refine differ only in the SPMD program body (and
-# its per-rank args); resolution, validation, the empty-set report and the
+# Shared launch plumbing: the plain path below and the sketch-prefiltered
+# path of repro.stream.refine differ only in the SPMD program body (and its
+# per-rank args); resolution, validation, the empty-set report and the
 # report assembly live here ONCE so the two paths cannot drift apart —
 # which is what keeps the "bit-identical to plain" contract honest.
 
 
-def resolve_single(plan: SelectionPlan):
-    """``(fn, cfg, balancer_name, extra)`` for a single-rank launch."""
-    fn, cfg, balancer_name = plan.resolve()
-    extra: tuple = ()
-    if plan.algorithm == "fast_randomized" and plan.fast_params is not None:
-        extra = (plan.fast_params,)
-    return fn, cfg, balancer_name, extra
-
-
-@dataclass(frozen=True)
-class _MultiRunner:
-    """Picklable batched-selection runner.
-
-    The strategy registry holds factories (lambdas) that cannot cross a
-    process boundary, so the runner carries only the algorithm *name* and
-    resolves the factory on the executing rank. Being a plain module-level
-    dataclass (not a closure) is what lets the ``pool`` backend ship
-    batched launches to its already-running workers.
-    """
-
-    algorithm: str
-    fast_params: object = None
-
-    def __call__(self, ctx, arr, ks_sorted, config):
-        if self.algorithm == "sort_based":
-            return sort_based_multi_select(ctx, arr, ks_sorted, config)
-        return contract_multi_select(
-            ctx, arr, ks_sorted, config,
-            STRATEGIES[self.algorithm](self.fast_params),
-            algorithm=self.algorithm,
-        )
-
-
-@dataclass(frozen=True)
-class _ShardProgram:
-    """Picklable SPMD program body: defensive-copy the rank shard, then
-    delegate to ``runner(ctx, shard.copy(), *launch_args, *extra)``.
-
-    Both launch paths used to close over their runner, which confined the
-    ``pool`` backend to its per-launch fork fallback; a frozen dataclass
-    around a picklable runner pickles whenever the plan does.
-    """
-
-    runner: object
-    extra: tuple = ()
-
-    def __call__(self, ctx, shard, *args):
-        return self.runner(ctx, shard.copy(), *args, *self.extra)
-
-
-def resolve_multi(plan: SelectionPlan):
-    """``(cfg, balancer_name, runner)`` for a batched launch.
+def resolve_launch(plan: SelectionPlan):
+    """``(cfg, balancer_name, runner)`` for one launch.
 
     ``runner(ctx, arr, ks_sorted, cfg)`` answers every rank over ``arr``
     (the full shard for the plain path, the survivors for the sketch
     path) and returns ``(values, MultiSelectionStats)``.
     """
-    _fn, cfg, balancer_name = plan.resolve()
-    if plan.algorithm.startswith("hybrid_"):
-        # Same forcing the single-rank hybrids apply: deterministic
-        # parallel structure, randomized sequential parts.
-        cfg = dataclasses.replace(cfg, sequential_method="randomized")
-    return cfg, balancer_name, _MultiRunner(plan.algorithm, plan.fast_params)
+    cfg, balancer_name = plan.resolve()
+    return cfg, balancer_name, SelectionRunner(plan.algorithm,
+                                               plan.fast_params)
 
 
-def validate_ks(ks: Sequence[int], n: int) -> list[int]:
-    """Coerce and range-check a rank set (shared by both launch paths);
-    delegates to the :func:`repro.core.plan.validate_targets` seam."""
-    return validate_targets(ks, n)
+@dataclass(frozen=True)
+class _ShardProgram:
+    """Picklable SPMD program body: defensive-copy the rank shard, then
+    delegate to ``runner(ctx, shard.copy(), *launch_args)``.
+
+    A frozen dataclass around a picklable runner pickles whenever the plan
+    does, which lets the ``pool`` backend reuse its running workers.
+    """
+
+    runner: SelectionRunner
+
+    def __call__(self, ctx, shard, *args):
+        return self.runner(ctx, shard.copy(), *args)
 
 
 def empty_multi_report(
@@ -253,51 +203,34 @@ def observe_launch(data: "DistributedArray", plan: SelectionPlan,
                      sim_t1=span.sim_t1, endgame_n=stats.endgame_n)
 
 
-def finish_select(
-    data: "DistributedArray", k: int, plan: SelectionPlan,
-    balancer_name: str, result,
-) -> SelectionReport:
-    """Unpack one single-rank launch result into its report."""
-    values = [v[0] for v in result.values]
-    stats: SelectionStats = result.values[0][1]
-    first = values[0]
-    assert all(v == first for v in values), "ranks disagree on the answer"
-    predicted = predict_simulated(
-        plan, data.n, data.p, data.machine.cost_model,
-        plan.topology if plan.topology is not None else data.machine.topology,
-    )
-    observe_launch(data, plan, [k], result, stats, predicted)
-    return SelectionReport(
-        value=first,
-        k=k,
-        n=data.n,
-        p=data.p,
-        algorithm=plan.algorithm,
-        balancer=balancer_name,
-        simulated_time=result.simulated_time,
-        wall_time=result.wall_time,
-        breakdown=result.breakdown,
-        stats=stats,
-        result=result,
-        backend=result.backend,
-        topology=result.topology,
-        predicted_time=predicted,
-    )
+def _same_answer(a, b) -> bool:
+    """Equal keys, with NaN equal to NaN (``np.sort`` ranks NaN keys
+    too, so a NaN answer is a valid answer every rank can agree on)."""
+    return bool(a == b) or (a != a and b != b)
 
 
-def finish_multi(
+def finish_launch(
     data: "DistributedArray", ks: list[int], unique_ks: list[int],
     plan: SelectionPlan, balancer_name: str, result,
 ) -> MultiSelectionReport:
-    """Unpack one batched launch result into its report (``values`` align
-    with the caller's ``ks``, duplicates and input order preserved)."""
+    """Unpack one launch result into its report (``values`` align with the
+    caller's ``ks``, duplicates and input order preserved).
+
+    Raises :class:`~repro.errors.RankMismatchError` when the ranks return
+    different answers: every rank must end a selection holding the same
+    broadcast values.
+    """
     all_values = [v[0] for v in result.values]
     stats: MultiSelectionStats = result.values[0][1]
     first = all_values[0]
-    assert all(
-        len(v) == len(first) and all(a == b for a, b in zip(v, first))
-        for v in all_values
-    ), "ranks disagree on the answers"
+    for rank, values in enumerate(all_values):
+        if len(values) != len(first) or not all(
+            _same_answer(a, b) for a, b in zip(values, first)
+        ):
+            raise RankMismatchError(
+                f"ranks disagree on the answers: rank 0 holds {first!r}, "
+                f"rank {rank} holds {values!r}"
+            )
     by_rank = dict(zip(unique_ks, first))
     # The closed forms price a single-target contraction; batched launches
     # tracking several live intervals have no form, so don't pretend.
@@ -328,67 +261,32 @@ def finish_multi(
     )
 
 
-def execute_select(
-    data: "DistributedArray", k: int, plan: SelectionPlan
-) -> SelectionReport:
-    """One single-rank selection launch (the historical ``select`` body).
+def execute_multi_select(
+    data: "DistributedArray", ks: Sequence[int], plan: SelectionPlan
+) -> MultiSelectionReport:
+    """One launch answering every rank in ``ks``.
 
-    Plans carrying ``prefilter="sketch"`` route to the sketch-accelerated
-    exact path (:mod:`repro.stream.refine`): same answer, same launch
-    accounting, smaller live set for the contraction.
-
-    ``k`` is range-checked BEFORE any launch is assembled: an out-of-range
-    rank raises :class:`~repro.errors.ConfigurationError` with
-    ``Machine.launch_count`` unchanged (it used to burn a full SPMD launch
-    and surface as ``WorkerError``).
+    Every rank in ``ks`` is answered by ONE contraction: the engine tracks
+    the whole target set through a single iterate-shrink pass, forking the
+    live set when a pivot lands between two targets, and the endgame costs
+    one Gather + Broadcast however many intervals survive. Plans carrying
+    ``prefilter="sketch"`` route to the sketch-accelerated exact path
+    (:mod:`repro.stream.refine`): same answers, same launch accounting,
+    smaller live set for the contraction.
     """
-    k = validate_rank(k, data.n)
     if plan.algorithm == "auto":
         # Cost-model-driven choice (lazy import: planner imports bench).
         from ..planner.planner import resolve_auto
 
         plan = resolve_auto(data, plan)
-    with get_recorder().span("query", kind="select", algorithm=plan.algorithm,
-                             n=data.n, p=data.p, k=k):
-        if plan.prefilter == "sketch":
-            from ..stream.refine import execute_sketch_select
-
-            return execute_sketch_select(data, k, plan)
-        fn, cfg, balancer_name, extra = resolve_single(plan)
-        result = data.machine.run(
-            _ShardProgram(fn, extra),
-            rank_args=[(s,) for s in data.shards],
-            args=(k, cfg),
-            backend=plan.backend,
-            topology=plan.topology,
-            trace=plan.trace,
-        )
-        return finish_select(data, k, plan, balancer_name, result)
-
-
-def execute_multi_select(
-    data: "DistributedArray", ks: Sequence[int], plan: SelectionPlan
-) -> MultiSelectionReport:
-    """One batched multi-rank launch (the historical ``multi_select`` body).
-
-    Every rank in ``ks`` is answered by ONE contraction: the engine tracks
-    the whole target set through a single iterate-shrink pass, forking the
-    live set when a pivot lands between two targets, and the endgame costs
-    one Gather + Broadcast however many intervals survive.
-    """
-    if plan.algorithm == "auto":
-        from ..planner.planner import resolve_auto
-
-        plan = resolve_auto(data, plan)
-    with get_recorder().span("query", kind="multi_select",
-                             algorithm=plan.algorithm, n=data.n, p=data.p,
-                             n_ks=len(ks)):
+    with get_recorder().span("query", algorithm=plan.algorithm, n=data.n,
+                             p=data.p, n_ks=len(ks)):
         if plan.prefilter == "sketch":
             from ..stream.refine import execute_sketch_multi_select
 
             return execute_sketch_multi_select(data, ks, plan)
-        ks = validate_ks(ks, data.n)
-        cfg, balancer_name, runner = resolve_multi(plan)
+        ks = validate_targets(ks, data.n)
+        cfg, balancer_name, runner = resolve_launch(plan)
         if not ks:
             return empty_multi_report(data, plan, balancer_name)
         unique_ks = sorted(set(ks))
@@ -400,17 +298,31 @@ def execute_multi_select(
             topology=plan.topology,
             trace=plan.trace,
         )
-        return finish_multi(data, ks, unique_ks, plan, balancer_name, result)
+        return finish_launch(data, ks, unique_ks, plan, balancer_name,
+                             result)
 
 
-def per_rank_view(metrics, k: int, value, cached: bool = False) -> SelectionReport:
-    """A per-rank :class:`SelectionReport` view of shared batched evidence.
+def execute_select(
+    data: "DistributedArray", k: int, plan: SelectionPlan
+) -> SelectionReport:
+    """One single-rank launch: the one-rank view of
+    :func:`execute_multi_select`.
 
-    ``metrics`` is anything launch-shaped (a :class:`MultiSelectionReport`
-    or a cache entry's metrics): the view carries the correct target rank, a
-    SelectionStats-shaped stats block, and iteration records aliased from
-    the one launch that produced every answer.
+    ``k`` is range-checked BEFORE any launch is assembled: an out-of-range
+    rank raises :class:`~repro.errors.ConfigurationError` with
+    ``Machine.launch_count`` unchanged.
     """
+    k = validate_rank(k, data.n)
+    multi = execute_multi_select(data, [k], plan)
+    return per_rank_view(multi, k, multi.values[0])
+
+
+def per_rank_view(metrics: MultiSelectionReport, k: int, value,
+                  cached: bool = False) -> SelectionReport:
+    """A per-rank :class:`SelectionReport` view of one launch's evidence:
+    the correct target rank, a SelectionStats-shaped stats block, and
+    iteration records aliased from the launch that produced every
+    answer."""
     return SelectionReport(
         value=value,
         k=k,
@@ -437,7 +349,7 @@ def per_rank_view(metrics, k: int, value, cached: bool = False) -> SelectionRepo
         cached=cached,
         backend=metrics.backend,
         topology=metrics.topology,
-        predicted_time=getattr(metrics, "predicted_time", None),
+        predicted_time=metrics.predicted_time,
     )
 
 
@@ -455,41 +367,12 @@ def quantile_rank(q: float, n: int) -> int:
 
 
 @dataclass
-class _LaunchMetrics:
-    """The shared evidence of one batched launch, referenced by every cache
-    entry and future it answered."""
-
-    n: int
-    p: int
-    algorithm: str
-    balancer: str
-    simulated_time: float
-    wall_time: float
-    breakdown: TimeBreakdown
-    stats: MultiSelectionStats
-    result: object
-    backend: str = ""
-    topology: str = ""
-    predicted_time: float | None = None
-
-    @classmethod
-    def from_multi(cls, multi: MultiSelectionReport) -> "_LaunchMetrics":
-        return cls(
-            n=multi.n, p=multi.p, algorithm=multi.algorithm,
-            balancer=multi.balancer, simulated_time=multi.simulated_time,
-            wall_time=multi.wall_time, breakdown=multi.breakdown,
-            stats=multi.stats, result=multi.result, backend=multi.backend,
-            topology=multi.topology, predicted_time=multi.predicted_time,
-        )
-
-
-@dataclass
 class _CacheEntry:
-    """One answered rank: its value + the metrics of the launch that
+    """One answered rank: its value + the report of the launch that
     answered it."""
 
     value: object
-    metrics: _LaunchMetrics
+    metrics: MultiSelectionReport
 
 
 @dataclass
@@ -506,22 +389,28 @@ class SessionStats:
     coalesced_queries: int = 0
     #: Individual ranks served from the result cache.
     cache_hits: int = 0
-    #: Individual ranks that required launch work.
+    #: Individual ranks looked up in the result cache and not found (a
+    #: session without a cache looks nothing up).
     cache_misses: int = 0
 
 
-class _Future:
-    """Base future: resolved (or failed) by the owning session's flush."""
+class MultiSelectionFuture:
+    """A pending rank-set query; ``result()`` flushes the session.
 
-    __slots__ = ("_session", "data", "plan", "_report", "_error")
+    Resolved (or failed) by the owning session's group server, which every
+    query path shares.
+    """
+
+    __slots__ = ("_session", "data", "plan", "ks", "_report", "_error")
 
     def __init__(self, session: "Session", data: "DistributedArray",
-                 plan: SelectionPlan):
+                 ks: list[int], plan: SelectionPlan):
         self._session = session
         self.data = data
         self.plan = plan
-        self._report = None
-        self._error = None
+        self.ks = ks
+        self._report: MultiSelectionReport | SelectionReport | None = None
+        self._error: BaseException | None = None
 
     @property
     def done(self) -> bool:
@@ -529,7 +418,12 @@ class _Future:
         launch failed — ``result()`` then re-raises the launch error)."""
         return self._report is not None or self._error is not None
 
-    def _await(self):
+    def _resolve(self, report: MultiSelectionReport) -> None:
+        self._report = report
+
+    def result(self):
+        """The :class:`MultiSelectionReport` (coalesced flush on first
+        call)."""
         if self._report is None and self._error is None:
             self._session.flush()
         if self._error is not None:
@@ -538,52 +432,34 @@ class _Future:
             raise RuntimeError("flush did not resolve this future")
         return self._report
 
+    @property
+    def values(self) -> list:
+        """Shortcut for ``result().values``."""
+        return self.result().values
 
-class SelectionFuture(_Future):
-    """A pending single-rank query; ``result()`` flushes the session."""
 
-    __slots__ = ("k",)
+class SelectionFuture(MultiSelectionFuture):
+    """A pending single-rank query: the one-rank view of a
+    :class:`MultiSelectionFuture`; ``result()`` is a
+    :class:`SelectionReport`."""
+
+    __slots__ = ()
 
     def __init__(self, session, data, k: int, plan):
-        super().__init__(session, data, plan)
-        self.k = k
+        super().__init__(session, data, [k], plan)
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        return (self.k,)
+    def k(self) -> int:
+        return self.ks[0]
 
-    def result(self) -> SelectionReport:
-        """The :class:`SelectionReport` (coalesced flush on first call)."""
-        return self._await()
+    def _resolve(self, report: MultiSelectionReport) -> None:
+        self._report = per_rank_view(report, self.k, report.values[0],
+                                     cached=report.cached)
 
     @property
     def value(self):
         """Shortcut for ``result().value``."""
         return self.result().value
-
-
-class MultiSelectionFuture(_Future):
-    """A pending multi-rank query; ``result()`` flushes the session."""
-
-    __slots__ = ("ks",)
-
-    def __init__(self, session, data, ks: list[int], plan):
-        super().__init__(session, data, plan)
-        self.ks = ks
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(self.ks)
-
-    def result(self) -> MultiSelectionReport:
-        """The :class:`MultiSelectionReport` (coalesced flush on first
-        call)."""
-        return self._await()
-
-    @property
-    def values(self) -> list:
-        """Shortcut for ``result().values``."""
-        return self.result().values
 
 
 class Session:
@@ -631,7 +507,7 @@ class Session:
         self.cache_enabled = bool(cache)
         self.max_cache_entries = max_cache_entries
         self.stats = SessionStats()
-        self._pending: list[_Future] = []
+        self._pending: list[MultiSelectionFuture] = []
         self._cache: OrderedDict[tuple, _CacheEntry] = OrderedDict()
 
     # ----------------------------------------------------------- plumbing
@@ -656,16 +532,12 @@ class Session:
     # LRU cache primitives -------------------------------------------------
 
     def _cache_get(self, key: tuple) -> _CacheEntry | None:
-        if not self.cache_enabled:
-            return None
         entry = self._cache.get(key)
         if entry is not None:
             self._cache.move_to_end(key)
         return entry
 
     def _cache_put(self, key: tuple, entry) -> None:
-        if not self.cache_enabled:
-            return
         self._cache[key] = entry
         self._cache.move_to_end(key)
         while len(self._cache) > self.max_cache_entries:
@@ -747,16 +619,22 @@ class Session:
         if not pending:
             return []
         self.stats.flushes += 1
-        groups: OrderedDict[tuple, list[_Future]] = OrderedDict()
+        groups: OrderedDict[tuple, list[MultiSelectionFuture]] = OrderedDict()
         for fut in pending:
             key = (fut.data.fingerprint, fut.plan.cache_key())
             groups.setdefault(key, []).append(fut)
         first_error: BaseException | None = None
-        with get_recorder().span("session.flush", queries=len(pending),
-                                 groups=len(groups)):
-            for (fp, plan_key), futs in groups.items():
+        recorder = get_recorder()
+        with recorder.span("session.flush", queries=len(pending),
+                           groups=len(groups)):
+            for (fp, _plan_key), futs in groups.items():
                 try:
-                    self._serve_group(fp, plan_key, futs)
+                    with recorder.span(
+                        "session.group", algorithm=futs[0].plan.algorithm,
+                        queries=len(futs),
+                        ranks=len({k for fut in futs for k in fut.ks}),
+                    ):
+                        self._serve_group(fp, futs)
                 except Exception as exc:
                     for fut in futs:
                         if fut._report is None:
@@ -767,114 +645,83 @@ class Session:
             raise first_error
         return pending
 
-    def _serve_group(self, fp: str, plan_key: tuple, futs: list[_Future],
-                     count_coalesced: bool = True) -> None:
+    def _serve_group(self, fp: str | None,
+                     futs: list[MultiSelectionFuture],
+                     coalesced: bool = True) -> None:
+        """Answer one ``(array, plan)`` group: cached ranks from the cache,
+        every other rank from ONE launch, then resolve each future.
+        ``fp`` is ``None`` when the session has no cache."""
         data, plan = futs[0].data, futs[0].plan
-        needed = sorted({k for fut in futs for k in fut.ranks})
-        with get_recorder().span("session.group", algorithm=plan.algorithm,
-                                 queries=len(futs), ranks=len(needed)):
-            self._serve_group_inner(data, plan, fp, plan_key, futs, needed,
-                                    count_coalesced)
-
-    def _serve_group_inner(self, data, plan, fp: str, plan_key: tuple,
-                           futs: list[_Future], needed: list[int],
-                           count_coalesced: bool) -> None:
+        needed = sorted({k for fut in futs for k in fut.ks})
         entries: dict[int, _CacheEntry] = {}
-        hit_ks: set[int] = set()
-        missing: list[int] = []
-        for k in needed:
-            entry = self._cache_get(("multi", fp, plan_key, k))
-            if entry is None:
-                missing.append(k)
-            else:
-                entries[k] = entry
-                hit_ks.add(k)
-        self.stats.cache_hits += len(hit_ks)
-        self.stats.cache_misses += len(missing)
-        launched: _LaunchMetrics | None = None
+        missing = needed
+        if self.cache_enabled:
+            plan_key = plan.cache_key()
+            missing = []
+            for k in needed:
+                entry = self._cache_get((fp, plan_key, k))
+                if entry is None:
+                    missing.append(k)
+                else:
+                    entries[k] = entry
+            self.stats.cache_hits += len(entries)
+            self.stats.cache_misses += len(missing)
+        hit_ks = set(entries)
         if missing:
-            multi = execute_multi_select(data, missing, plan)
+            launched = execute_multi_select(data, missing, plan)
             self.stats.launches += 1
-            launched = _LaunchMetrics.from_multi(multi)
-            for k, value in zip(missing, multi.values):
-                entry = _CacheEntry(value=value, metrics=launched)
-                entries[k] = entry
-                self._cache_put(("multi", fp, plan_key, k), entry)
+            for k, value in zip(missing, launched.values):
+                entries[k] = _CacheEntry(value=value, metrics=launched)
+                if self.cache_enabled:
+                    self._cache_put((fp, plan_key, k), entries[k])
         for fut in futs:
-            if count_coalesced:
+            if coalesced:
                 self.stats.coalesced_queries += 1
-            if isinstance(fut, SelectionFuture):
-                entry = entries[fut.k]
-                fut._report = per_rank_view(
-                    entry.metrics, fut.k, entry.value,
-                    cached=fut.k in hit_ks,
-                )
-            else:
-                fut._report = self._multi_report(
-                    fut, entries, hit_ks, launched
-                )
+            fut._resolve(self._report_for(fut, entries, hit_ks))
 
-    def _multi_report(self, fut: MultiSelectionFuture,
-                      entries: dict[int, _CacheEntry], hit_ks: set[int],
-                      launched: _LaunchMetrics | None) -> MultiSelectionReport:
-        data, plan = fut.data, fut.plan
+    @staticmethod
+    def _report_for(fut: MultiSelectionFuture,
+                    entries: dict[int, _CacheEntry],
+                    hit_ks: set[int]) -> MultiSelectionReport:
         if not fut.ks:
             # Historical empty-set behaviour: an empty report, no launch.
-            return execute_multi_select(data, [], plan)
-        all_cached = all(k in hit_ks for k in fut.ks)
+            return execute_multi_select(fut.data, [], fut.plan)
         # A fully-cached report must carry its *originating* launch's
-        # metrics (what a relaunch would produce), not those of whatever
-        # launch this flush happened to pay for other futures' ranks.
-        metrics = entries[fut.ks[0]].metrics if all_cached else launched
-        return MultiSelectionReport(
-            values=[entries[k].value for k in fut.ks],
-            ks=list(fut.ks),
-            n=metrics.n,
-            p=metrics.p,
-            algorithm=metrics.algorithm,
-            balancer=metrics.balancer,
-            simulated_time=metrics.simulated_time,
-            wall_time=metrics.wall_time,
-            breakdown=metrics.breakdown,
-            stats=metrics.stats,
-            result=metrics.result,
-            cached=all_cached,
-            backend=metrics.backend,
-            topology=metrics.topology,
-            predicted_time=getattr(metrics, "predicted_time", None),
+        # metrics (what a relaunch would produce); any other report, those
+        # of the launch that answered its uncached ranks.
+        fresh = [k for k in fut.ks if k not in hit_ks]
+        metrics = entries[fresh[0] if fresh else fut.ks[0]].metrics
+        return dataclasses.replace(
+            metrics, values=[entries[k].value for k in fut.ks],
+            ks=list(fut.ks), cached=not fresh,
         )
 
     # ---------------------------------------------------- immediate queries
 
+    def _answer_now(self, fut: MultiSelectionFuture):
+        """Serve one query NOW through the group server a flush uses (not
+        counted as a coalesced deferred query)."""
+        self.stats.queries += 1
+        fp = fut.data.fingerprint if self.cache_enabled else None
+        self._serve_group(fp, [fut], coalesced=False)
+        return fut._report
+
     def run_select(self, data: "DistributedArray", k: int,
                    plan: SelectionPlan | None = None,
                    **overrides) -> SelectionReport:
-        """Answer rank ``k`` NOW through the single-rank engine.
+        """Answer rank ``k`` NOW: a one-rank :meth:`run_multi_select`.
 
-        Cache-aware (namespace ``"select"``): a repeat of an answered
-        ``(array, plan, k)`` costs zero launches and returns the original
-        launch's value and simulated metrics with ``cached=True``. This is
-        the path the legacy :func:`repro.select` shim and the fluent
-        ``data.select(k)`` ride, so their collective sequences, RNG streams
-        and simulated times are bit-identical to the pre-Session API.
+        Cache-aware: a repeat of an answered ``(array, plan, k)`` costs
+        zero launches and returns the original launch's value and
+        simulated metrics with ``cached=True``. This is the path the
+        legacy :func:`repro.select` shim and the fluent ``data.select(k)``
+        ride.
         """
         self._check_data(data)
         k = self._check_rank(k, data.n)
-        plan = self._plan_for(plan, overrides)
-        self.stats.queries += 1
-        key = None
-        if self.cache_enabled:
-            key = ("select", data.fingerprint, plan.cache_key(), int(k))
-            hit = self._cache_get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return dataclasses.replace(hit, cached=True)
-            self.stats.cache_misses += 1
-        report = execute_select(data, k, plan)
-        self.stats.launches += 1
-        if key is not None:
-            self._cache_put(key, report)
-        return report
+        return self._answer_now(
+            SelectionFuture(self, data, k, self._plan_for(plan, overrides))
+        )
 
     def run_median(self, data: "DistributedArray",
                    plan: SelectionPlan | None = None,
@@ -890,19 +737,9 @@ class Session:
         with cached ranks excluded from the launch entirely."""
         self._check_data(data)
         plan = self._plan_for(plan, overrides)
-        self.stats.queries += 1
-        if not self.cache_enabled:
-            report = execute_multi_select(data, ks, plan)
-            if report.result is not None:
-                self.stats.launches += 1
-            return report
-        fut = MultiSelectionFuture(
+        return self._answer_now(MultiSelectionFuture(
             self, data, [self._check_rank(k, data.n) for k in ks], plan
-        )
-        # Not a coalesced deferred query: keep it out of that counter.
-        self._serve_group(data.fingerprint, plan.cache_key(), [fut],
-                          count_coalesced=False)
-        return fut._report
+        ))
 
     def run_quantiles(self, data: "DistributedArray", qs: Sequence[float],
                       plan: SelectionPlan | None = None,

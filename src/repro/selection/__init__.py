@@ -2,10 +2,12 @@
 
 All of them share the contraction engine of :mod:`repro.selection.engine`
 (iterate-shrink-endgame with pluggable pivot strategies); each algorithm
-module contributes its pivot rule and keeps its historical SPMD entry
-point.
+module contributes only its pivot rule. A single-target ``select`` is the
+one-rank case of multiple selection, so every launch runs through ONE
+SPMD entry, :class:`SelectionRunner`.
 
-Registry keys (used by :func:`repro.select` and the bench harness):
+Registry keys of :data:`ALGORITHMS` (used by :func:`repro.select` and the
+bench harness):
 
 =========================  ==============================================
 ``median_of_medians``      Algorithm 1 (deterministic; needs balancing)
@@ -16,89 +18,103 @@ Registry keys (used by :func:`repro.select` and the bench harness):
 ``hybrid_bucket_based``       Section 5 hybrid of Algorithm 2
 ``sort_based``                related-work baseline: full sort + index
 =========================  ==============================================
-
-:data:`STRATEGIES` maps the same keys to pivot-strategy factories for the
-multi-rank path (:func:`repro.multi_select`); ``sort_based`` is handled
-specially there (one full sort answers every rank).
 """
 
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ..kernels.select import SelectMethod
 from .base import (
-    Decision,
     IterationRecord,
     SelectionConfig,
     SelectionStats,
-    decide_side,
-    endgame,
     endgame_threshold,
 )
-from .bucket_based import BucketStrategy, bucket_based_select
+from .bucket_based import BucketStrategy
 from .engine import (
     ContractionEngine,
     MultiSelectionStats,
     PivotStrategy,
     contract_multi_select,
-    contract_select,
 )
-from .fast_randomized import (
-    FastRandomizedParams,
-    FastRandomizedStrategy,
-    fast_randomized_select,
-)
-from .hybrid import hybrid_bucket_based_select, hybrid_median_of_medians_select
-from .median_of_medians import MedianOfMediansStrategy, median_of_medians_select
-from .randomized import RandomizedStrategy, randomized_select
-from .sort_based import sort_based_multi_select, sort_based_select
+from .fast_randomized import FastRandomizedParams, FastRandomizedStrategy
+from .median_of_medians import MedianOfMediansStrategy
+from .randomized import RandomizedStrategy
+from .sort_based import sort_based_multi_select
 
-#: name -> (SPMD function, default sequential method, needs balancing)
-ALGORITHMS = {
-    "median_of_medians": (median_of_medians_select, "deterministic", True),
-    "bucket_based": (bucket_based_select, "deterministic", False),
-    "randomized": (randomized_select, "randomized", False),
-    "fast_randomized": (fast_randomized_select, "randomized", False),
-    "hybrid_median_of_medians": (hybrid_median_of_medians_select, "randomized", True),
-    "hybrid_bucket_based": (hybrid_bucket_based_select, "randomized", False),
-    "sort_based": (sort_based_select, "randomized", False),
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One registry entry: the pivot rule and the paper's pairings."""
+
+    #: Pivot-strategy class (``None``: the sort-based baseline, which has
+    #: no contraction).
+    strategy: type[PivotStrategy] | None
+    #: Default sequential kernel for local selections and the endgame.
+    sequential_method: SelectMethod
+    #: The paper pairs the algorithm with load balancing by default.
+    needs_balancing: bool
+    #: Section 5 hybrid: the sequential parts are randomized whatever the
+    #: plan asks for (the parallel skeleton stays deterministic).
+    hybrid: bool = False
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "median_of_medians": Algorithm(MedianOfMediansStrategy, "deterministic", True),
+    "bucket_based": Algorithm(BucketStrategy, "deterministic", False),
+    "randomized": Algorithm(RandomizedStrategy, "randomized", False),
+    "fast_randomized": Algorithm(FastRandomizedStrategy, "randomized", False),
+    "hybrid_median_of_medians": Algorithm(
+        MedianOfMediansStrategy, "randomized", True, hybrid=True),
+    "hybrid_bucket_based": Algorithm(
+        BucketStrategy, "randomized", False, hybrid=True),
+    "sort_based": Algorithm(None, "randomized", False),
 }
 
-#: name -> pivot-strategy factory for the multi-rank contraction path.
-#: ``fast_params`` is only meaningful for the fast randomized strategy;
-#: the hybrids reuse their parent's strategy (the API layer swaps the
-#: sequential method, exactly as the single-rank hybrids do).
-STRATEGIES = {
-    "randomized": lambda fast_params=None: RandomizedStrategy(),
-    "median_of_medians": lambda fast_params=None: MedianOfMediansStrategy(),
-    "bucket_based": lambda fast_params=None: BucketStrategy(),
-    "fast_randomized": lambda fast_params=None: FastRandomizedStrategy(fast_params),
-    "hybrid_median_of_medians": lambda fast_params=None: MedianOfMediansStrategy(),
-    "hybrid_bucket_based": lambda fast_params=None: BucketStrategy(),
-}
+
+@dataclass(frozen=True)
+class SelectionRunner:
+    """The one SPMD selection entry: ``runner(ctx, shard, ks, cfg)``
+    answers every rank of ``ks`` (sorted ascending, distinct) over this
+    rank's ``shard`` and returns ``(values, MultiSelectionStats)``.
+
+    It carries only the algorithm *name* and resolves the strategy on the
+    executing rank: a plain frozen dataclass pickles, which is what lets
+    the ``pool`` backend ship launches to its already-running workers.
+    """
+
+    algorithm: str
+    fast_params: FastRandomizedParams | None = None
+
+    def __call__(self, ctx, shard, ks, cfg):
+        strategy = ALGORITHMS[self.algorithm].strategy
+        if strategy is None:
+            return sort_based_multi_select(ctx, shard, ks, cfg)
+        if strategy is FastRandomizedStrategy:
+            pivots: PivotStrategy = FastRandomizedStrategy(self.fast_params)
+        else:
+            pivots = strategy()
+        return contract_multi_select(ctx, shard, ks, cfg, pivots,
+                                     algorithm=self.algorithm)
+
 
 __all__ = [
     "ALGORITHMS",
-    "STRATEGIES",
+    "Algorithm",
     "ContractionEngine",
-    "Decision",
     "IterationRecord",
     "MultiSelectionStats",
     "PivotStrategy",
     "SelectionConfig",
+    "SelectionRunner",
     "SelectionStats",
     "contract_multi_select",
-    "contract_select",
-    "decide_side",
-    "endgame",
     "endgame_threshold",
     "BucketStrategy",
     "FastRandomizedParams",
     "FastRandomizedStrategy",
     "MedianOfMediansStrategy",
     "RandomizedStrategy",
-    "bucket_based_select",
-    "fast_randomized_select",
-    "hybrid_bucket_based_select",
-    "hybrid_median_of_medians_select",
-    "median_of_medians_select",
-    "randomized_select",
     "sort_based_multi_select",
-    "sort_based_select",
 ]

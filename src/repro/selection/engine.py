@@ -25,15 +25,16 @@ single Gather + Broadcast regardless of how many intervals survive
 strategy brackets *all* targets of an interval from one sorted sample and
 splits multiway in one pass, cf. arXiv:1611.05549).
 
-Single-target runs reproduce the historical algorithms *exactly*: the same
-collective sequence per iteration (pinned by the pseudocode-fidelity
-tests), the same RNG streams, the same simulated charges, and the same
-:class:`~repro.selection.base.SelectionStats` evidence.
+A single target is the one-rank case of the same contraction: it issues
+the paper's collective sequence per iteration (pinned by the
+pseudocode-fidelity tests), with the same RNG streams and simulated
+charges.
 
-Layout: this module owns the engine, the live-set representations and the
-strategy base class; each algorithm module owns its concrete strategy
-(``randomized.RandomizedStrategy`` etc.) plus its historical SPMD entry
-point, now a thin wrapper over :func:`contract_select`.
+Layout: this module owns the engine, the live-set representations, the
+strategy base class and :func:`contract_multi_select`, which
+:class:`~repro.selection.SelectionRunner` (the one SPMD selection entry)
+calls; each algorithm module owns only its concrete strategy
+(``randomized.RandomizedStrategy`` etc.).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from ..machine.engine import ProcContext
 from .base import (
     IterationRecord,
     SelectionConfig,
-    SelectionStats,
     check_rank,
     endgame_threshold,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "MultiSelectionStats",
     "PivotProposal",
     "PivotStrategy",
-    "contract_select",
     "contract_multi_select",
 ]
 
@@ -246,12 +245,12 @@ class PivotStrategy:
 
 @dataclass
 class MultiSelectionStats:
-    """Run evidence of a multi-rank selection (identical on every rank).
+    """Run evidence of one selection launch (identical on every rank).
 
-    Mirrors :class:`~repro.selection.base.SelectionStats` (same
-    ``iterations`` records, counters and properties) with multi-target
+    The per-iteration records and counters, plus the multi-target
     extensions: how many independent intervals the live set forked into,
     how many targets a pivot resolved directly, and the total endgame load.
+    :class:`~repro.selection.base.SelectionStats` is its one-rank view.
     """
 
     algorithm: str = ""
@@ -311,7 +310,7 @@ class ContractionEngine:
         ctx: ProcContext,
         cfg: SelectionConfig,
         strategy: PivotStrategy,
-        stats,
+        stats: MultiSelectionStats,
     ):
         self.ctx = ctx
         self.cfg = cfg
@@ -614,26 +613,10 @@ class ContractionEngine:
             self.results[idx] = v
         for iv in intervals:
             self.stats.endgame_n += iv.n
-        if hasattr(self.stats, "endgame_intervals"):
-            self.stats.endgame_intervals += len(intervals)
+        self.stats.endgame_intervals += len(intervals)
 
 
-# ------------------------------------------------------------ entry points
-
-def contract_select(
-    ctx: ProcContext,
-    shard: np.ndarray,
-    k: int,
-    cfg: SelectionConfig,
-    strategy: PivotStrategy,
-) -> tuple[object, SelectionStats]:
-    """Single-rank selection through the engine (the four classic SPMD
-    entry points delegate here)."""
-    stats = SelectionStats(algorithm=strategy.name, k=k)
-    engine = ContractionEngine(ctx, cfg, strategy, stats)
-    values = engine.run(np.asarray(shard), [k])
-    return values[0], stats
-
+# ------------------------------------------------------------- entry point
 
 def contract_multi_select(
     ctx: ProcContext,
@@ -643,18 +626,20 @@ def contract_multi_select(
     strategy: PivotStrategy,
     algorithm: str | None = None,
 ) -> tuple[list, MultiSelectionStats]:
-    """Multi-rank selection: all of ``ks`` (sorted ascending, distinct) in
-    one contraction.
+    """Answer every rank of ``ks`` (sorted ascending, distinct) in one
+    contraction; a single-target ``select`` is the one-rank case.
 
-    On one processor the whole problem is sequential: skip the contraction
-    and run a single-pass multi-rank ``np.partition`` directly (charged at
-    ``multi_select_cost``) — the ``p = 1`` fast path.
+    On one processor a multi-rank problem is sequential: skip the
+    contraction and run a single-pass multi-rank ``np.partition`` directly
+    (charged at ``multi_select_cost``) — the ``p = 1`` fast path. One rank
+    keeps the contraction, which is what the paper's algorithms run at
+    ``p = 1``.
     """
     stats = MultiSelectionStats(
         algorithm=algorithm or strategy.name, ks=list(ks)
     )
     arr = np.asarray(shard)
-    if ctx.size == 1:
+    if ctx.size == 1 and len(ks) > 1:
         K = CostedKernels(ctx, kernels=cfg.kernels)
         n = int(arr.size)
         for k in ks:

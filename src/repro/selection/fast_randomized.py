@@ -36,23 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine.engine import ProcContext
 from ..psort.sample_sort import (
     element_at_global_rank,
     elements_at_global_ranks,
     sample_sort,
 )
-from .base import SelectionConfig, SelectionStats, endgame_threshold
-from .engine import (
-    BandProposal,
-    EndgameProposal,
-    MultiCutProposal,
-    PivotStrategy,
-    contract_select,
-)
+from .base import endgame_threshold
+from .engine import BandProposal, EndgameProposal, MultiCutProposal, PivotStrategy
 
-__all__ = ["fast_randomized_select", "FastRandomizedParams",
-           "FastRandomizedStrategy"]
+__all__ = ["FastRandomizedParams", "FastRandomizedStrategy"]
 
 
 @dataclass(frozen=True)
@@ -160,18 +152,3 @@ class FastRandomizedStrategy(PivotStrategy):
     @property
     def endgame_rng(self) -> np.random.Generator:
         return self.local_rng
-
-
-def fast_randomized_select(
-    ctx: ProcContext,
-    shard: np.ndarray,
-    k: int,
-    cfg: SelectionConfig,
-    params: FastRandomizedParams | None = None,
-) -> tuple[object, SelectionStats]:
-    """SPMD entry point for fast randomized selection."""
-    if params is None:
-        params = FastRandomizedParams()
-    return contract_select(
-        ctx, shard, k, cfg, FastRandomizedStrategy(params)
-    )

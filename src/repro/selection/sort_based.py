@@ -11,7 +11,7 @@ selection uses, so the comparison in the benches is apples-to-apples:
 
 1. parallel sample sort of the *entire* input;
 2. one Global Concatenate of run lengths + a broadcast from the owner of
-   global rank ``k``.
+   global rank ``k`` (a batched lookup for several ranks).
 """
 
 from __future__ import annotations
@@ -25,38 +25,22 @@ from ..psort.sample_sort import (
     elements_at_global_ranks,
     sample_sort,
 )
-from .base import SelectionConfig, SelectionStats, check_rank
+from .base import SelectionConfig, check_rank
 from .engine import MultiSelectionStats
 
-__all__ = ["sort_based_select", "sort_based_multi_select"]
-
-
-def sort_based_select(
-    ctx: ProcContext, shard: np.ndarray, k: int, cfg: SelectionConfig
-) -> tuple[object, SelectionStats]:
-    """SPMD entry point: full parallel sort, then an O(1) rank lookup."""
-    K = CostedKernels(ctx, kernels=cfg.kernels)
-    arr = np.asarray(shard)
-    n = int(ctx.comm.allreduce_sum(int(arr.size)))
-    check_rank(n, k)
-    stats = SelectionStats(algorithm="sort_based", n=n, p=ctx.size, k=k)
-
-    sorted_run = sample_sort(ctx, K, arr)
-    value = element_at_global_rank(ctx, sorted_run, k)
-    stats.endgame_n = 0
-    stats.found_by_pivot = True  # no iterate-and-discard phase at all
-    return value, stats
+__all__ = ["sort_based_multi_select"]
 
 
 def sort_based_multi_select(
     ctx: ProcContext, shard: np.ndarray, ks: list[int], cfg: SelectionConfig
 ) -> tuple[list, MultiSelectionStats]:
-    """Multi-rank baseline: ONE full parallel sort answers every rank.
+    """SPMD entry point: ONE full parallel sort answers every rank.
 
     This is where sorting-based selection stops being a strawman: the sort
     cost amortises over all ``q`` targets, so for large ``q`` it converges
     on the dedicated algorithms. The batched rank lookup costs two extra
-    collectives total, not two per rank.
+    collectives total, not two per rank; a single rank is looked up with
+    one Global Concatenate of run lengths and a Broadcast from its owner.
     """
     K = CostedKernels(ctx, kernels=cfg.kernels)
     arr = np.asarray(shard)
@@ -67,6 +51,10 @@ def sort_based_multi_select(
         algorithm="sort_based", n=n, p=ctx.size, ks=list(ks)
     )
     sorted_run = sample_sort(ctx, K, arr)
-    values = elements_at_global_ranks(ctx, sorted_run, list(ks))
+    if len(ks) == 1:
+        values = [element_at_global_rank(ctx, sorted_run, ks[0])]
+    else:
+        values = elements_at_global_ranks(ctx, sorted_run, list(ks))
+    # No iterate-and-discard phase at all: every rank is read off the sort.
     stats.found_by_pivot = len(ks)
     return values, stats

@@ -33,9 +33,9 @@ layer's one-launch accounting is untouched:
    a plain ``select``/``multi_select`` over the full array; the pre-filter
    only removed keys that provably cannot hold any target rank.
 
-``execute_sketch_select`` / ``execute_sketch_multi_select`` mirror the
-launch primitives of :mod:`repro.core.session` and are what
-``SelectionPlan(prefilter="sketch")`` routes to.
+``execute_sketch_multi_select`` mirrors the launch primitive of
+:mod:`repro.core.session` and is what ``SelectionPlan(prefilter="sketch")``
+routes to (a single-target query is its one-rank case).
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.reports import MultiSelectionReport, PrefilterStats, SelectionReport
+from ..core.reports import MultiSelectionReport, PrefilterStats
+from ..core.plan import validate_targets
 from ..kernels.costed import CostedKernels
 from .sketch import QuantileSketch, merge_all
 
@@ -53,7 +54,6 @@ if TYPE_CHECKING:
     from ..core.plan import SelectionPlan
 
 __all__ = [
-    "execute_sketch_select",
     "execute_sketch_multi_select",
     "candidate_intervals",
 ]
@@ -173,7 +173,7 @@ def _rounds_saved(n: int, survivors: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Launch primitives (mirror core.session.execute_select / execute_multi_select)
+# Launch primitive (mirrors core.session.execute_multi_select)
 # --------------------------------------------------------------------------
 
 
@@ -183,52 +183,6 @@ def _prebuilt_sketches(data: "DistributedArray", eps: float):
     if sketches is None:
         return [None] * len(data.shards), False
     return sketches(eps), True
-
-
-def execute_sketch_select(
-    data: "DistributedArray", k: int, plan: "SelectionPlan"
-) -> SelectionReport:
-    """One sketch-prefiltered single-rank launch (exact; value
-    bit-identical to :func:`repro.core.session.execute_select`).
-
-    Resolution, validation and report assembly are the *same code* as the
-    plain path (:mod:`repro.core.session` helpers); only the SPMD program
-    body — summarise, merge, pre-filter, then the same algorithm entry
-    point over the survivors — differs.
-    """
-    from ..core import session as core_session
-
-    fn, cfg, balancer_name, extra = core_session.resolve_single(plan)
-    eps = plan.sketch_eps
-    prebuilt, amortised = _prebuilt_sketches(data, eps)
-
-    def program(ctx, shard, local_sk, target_k, config):
-        K = CostedKernels(ctx, kernels=config.kernels)
-        merged = _merged_sketch(
-            ctx, K, _local_sketch(ctx, K, shard, eps, local_sk), eps
-        )
-        intervals = candidate_intervals(merged, [target_k])
-        survivors, adjusted, n_surv = _prefilter(ctx, K, shard, intervals)
-        if survivors is None:
-            value, stats = fn(ctx, shard.copy(), target_k, config, *extra)
-            fallback = True
-        else:
-            value, stats = fn(ctx, survivors, adjusted[0], config, *extra)
-            fallback = False
-        stats.prefilter = _evidence(
-            eps, merged, intervals, n_surv, fallback, amortised
-        )
-        return value, stats
-
-    result = data.machine.run(
-        program,
-        rank_args=[(s, sk) for s, sk in zip(data.shards, prebuilt)],
-        args=(k, cfg),
-        backend=plan.backend,
-        topology=plan.topology,
-        trace=plan.trace,
-    )
-    return core_session.finish_select(data, k, plan, balancer_name, result)
 
 
 def execute_sketch_multi_select(
@@ -247,8 +201,8 @@ def execute_sketch_multi_select(
     """
     from ..core import session as core_session
 
-    ks = core_session.validate_ks(ks, data.n)
-    cfg, balancer_name, runner = core_session.resolve_multi(plan)
+    ks = validate_targets(ks, data.n)
+    cfg, balancer_name, runner = core_session.resolve_launch(plan)
     if not ks:
         return core_session.empty_multi_report(data, plan, balancer_name)
     unique_ks = sorted(set(ks))
@@ -281,7 +235,7 @@ def execute_sketch_multi_select(
         topology=plan.topology,
         trace=plan.trace,
     )
-    return core_session.finish_multi(
+    return core_session.finish_launch(
         data, ks, unique_ks, plan, balancer_name, result
     )
 

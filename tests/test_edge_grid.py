@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.selection import STRATEGIES
+from repro.selection import ALGORITHMS as REGISTRY
 
-# "auto" rides the same degenerate-shape legs: the planner must
-# never crash where the algorithms themselves must not.
-ALGORITHMS = sorted(STRATEGIES) + ["auto"]
+# The six contraction algorithms (every registry entry with a pivot
+# strategy), plus "auto": the planner must never crash where the
+# algorithms themselves must not.
+ALGORITHMS = sorted(
+    name for name, spec in REGISTRY.items() if spec.strategy is not None
+) + ["auto"]
 
 
 def oracle(data, k):

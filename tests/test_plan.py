@@ -213,12 +213,12 @@ class TestPlanObject:
         assert len(keys) == len(variants) + 1
 
     def test_resolve_paper_default_pairing(self):
-        _, cfg, name = repro.SelectionPlan(
+        cfg, name = repro.SelectionPlan(
             algorithm="median_of_medians"
         ).resolve()
         assert name == "GlobalExchange"
         assert cfg.sequential_method == "deterministic"
-        _, cfg, name = repro.SelectionPlan(
+        cfg, name = repro.SelectionPlan(
             algorithm="fast_randomized"
         ).resolve()
         assert name == "NoBalance"
@@ -226,8 +226,8 @@ class TestPlanObject:
 
     def test_resolve_builds_fresh_balancer_instances(self):
         plan = repro.SelectionPlan(balancer="global_exchange")
-        _, cfg1, _ = plan.resolve()
-        _, cfg2, _ = plan.resolve()
+        cfg1, _ = plan.resolve()
+        cfg2, _ = plan.resolve()
         assert cfg1.balancer is not cfg2.balancer
 
     def test_describe_mentions_non_defaults(self):

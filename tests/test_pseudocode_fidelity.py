@@ -15,26 +15,26 @@ iteration would fail here.
 
 
 import repro
-from repro.selection import ALGORITHMS, SelectionConfig
+from repro.selection import ALGORITHMS, SelectionConfig, SelectionRunner
 
 
 def traced_run(algo, n=20_000, p=4, seed=0, balancer=None, dist="random"):
     machine = repro.Machine(n_procs=p, trace=True)
     data = machine.generate(n, distribution=dist, seed=seed)
-    fn, default_seq, _ = ALGORITHMS[algo]
+    run = SelectionRunner(algo)
     from repro.balance import get_balancer
 
     cfg = SelectionConfig(
         balancer=get_balancer(balancer),
-        sequential_method=default_seq,
+        sequential_method=ALGORITHMS[algo].sequential_method,
         seed=seed,
     )
 
     def program(ctx, shard):
-        return fn(ctx, shard.copy(), (n + 1) // 2, cfg)
+        return run(ctx, shard.copy(), [(n + 1) // 2], cfg)
 
     result = machine.run(program, rank_args=[(s,) for s in data.shards])
-    value, stats = result.values[0]
+    values, stats = result.values[0]
     return result.tracer, stats
 
 

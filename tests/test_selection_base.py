@@ -1,58 +1,18 @@
-"""Units of the shared selection scaffolding (Step 6 logic, config, stats)."""
+"""Units of the shared selection scaffolding (config, stats, guards)."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import repro
 from repro.balance.base import NoBalance
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.selection import MultiSelectionStats
 from repro.selection.base import (
     IterationRecord,
     SelectionConfig,
-    SelectionStats,
     check_rank,
-    decide_side,
     endgame_threshold,
 )
-
-
-class TestDecideSide:
-    def test_target_below_pivot(self):
-        d = decide_side(k=3, c_less=10, c_eq=2, n=20)
-        assert not d.found and d.keep_low
-        assert d.new_n == 10 and d.new_k == 3
-
-    def test_target_in_equal_band(self):
-        d = decide_side(k=11, c_less=10, c_eq=2, n=20)
-        assert d.found
-
-    def test_band_boundaries(self):
-        assert decide_side(10, 10, 2, 20).keep_low  # k == c_less -> low side
-        assert decide_side(11, 10, 2, 20).found     # first band rank
-        assert decide_side(12, 10, 2, 20).found     # last band rank
-        d = decide_side(13, 10, 2, 20)              # one past the band
-        assert not d.found and not d.keep_low
-        assert d.new_n == 8 and d.new_k == 1
-
-    def test_all_equal_terminates(self):
-        d = decide_side(k=5, c_less=0, c_eq=20, n=20)
-        assert d.found
-
-    @given(st.data())
-    def test_property_rank_stays_valid(self, data):
-        # Counts come from a real 3-way split around an actual data element:
-        # the pivot occupies at least one slot (c_eq >= 1) and never counts
-        # itself below (c_less <= n - c_eq).
-        n = data.draw(st.integers(1, 10_000))
-        k = data.draw(st.integers(1, n))
-        c_eq = data.draw(st.integers(1, n))
-        c_less = data.draw(st.integers(0, n - c_eq))
-        d = decide_side(k, c_less, c_eq, n)
-        if not d.found:
-            assert 1 <= d.new_k <= d.new_n
-            assert d.new_n < n  # progress is guaranteed by the 3-way split
 
 
 class TestCheckRank:
@@ -96,7 +56,7 @@ class TestSelectionConfig:
 
 class TestStats:
     def test_record_counts(self):
-        stats = SelectionStats(algorithm="x", n=100, p=2, k=50)
+        stats = MultiSelectionStats(algorithm="x", n=100, p=2, ks=[50])
         stats.record(IterationRecord(100, 40, 50, 50, 1.5, 50, 20, True))
         stats.record(IterationRecord(40, 10, 50, 10, 2.5, 20, 5, False,
                                      successful=False))
@@ -109,32 +69,47 @@ class TestStats:
         assert rec.shrink == 0.25
 
 
+def _endgame_program(arr_for_rank, k):
+    """SPMD program sending one interval straight to the engine's batched
+    endgame with the given per-rank keys and target rank."""
+    from repro.selection import ContractionEngine, RandomizedStrategy
+    from repro.selection.engine import ArrayLive, _Interval, _Target
+
+    def prog(ctx):
+        arr = arr_for_rank(ctx.rank)
+        engine = ContractionEngine(ctx, SelectionConfig(),
+                                   RandomizedStrategy(),
+                                   MultiSelectionStats(ks=[k]))
+        engine.results = [None]
+        engine._run_endgame([_Interval(ArrayLive(arr), arr.size,
+                                       [_Target(0, k)])])
+        return engine.results
+
+    return prog
+
+
 class TestConvergenceGuards:
     def test_endgame_with_empty_survivors_raises(self):
         # Force a state where the endgame receives nothing: n=0 cannot be
         # produced through the API (check_rank guards), so exercise the
         # guard through a raw SPMD program.
-        from repro.kernels import CostedKernels
         from repro.machine import run_spmd
-        from repro.selection.base import endgame
 
-        def prog(ctx):
-            return endgame(ctx, CostedKernels(ctx), np.array([]), 1,
-                           "randomized")
-
+        prog = _endgame_program(lambda rank: np.array([]), 1)
         with pytest.raises(repro.WorkerError) as ei:
             run_spmd(prog, 2)
         assert isinstance(ei.value.cause, ConvergenceError)
+        assert "endgame reached with no surviving keys" in str(ei.value.cause)
 
     def test_endgame_with_bad_rank_raises(self):
-        from repro.kernels import CostedKernels
         from repro.machine import run_spmd
-        from repro.selection.base import endgame
 
-        def prog(ctx):
-            arr = np.arange(3.0) if ctx.rank == 0 else np.array([])
-            return endgame(ctx, CostedKernels(ctx), arr, 99, "randomized")
-
+        prog = _endgame_program(
+            lambda rank: np.arange(3.0) if rank == 0 else np.array([]), 99
+        )
         with pytest.raises(repro.WorkerError) as ei:
             run_spmd(prog, 2)
         assert isinstance(ei.value.cause, ConvergenceError)
+        assert "endgame rank 99 inconsistent with 3 survivors" in str(
+            ei.value.cause
+        )
